@@ -77,8 +77,7 @@ fn read_varint(r: &mut impl Read) -> Result<u64, WireError> {
 ///
 /// Any socket error.
 pub fn write_preamble(w: &mut impl Write) -> Result<(), WireError> {
-    w.write_all(&MAGIC)?;
-    let mut buf = Vec::with_capacity(2);
+    let mut buf = MAGIC.to_vec();
     encode_u64(PROTOCOL_VERSION, &mut buf);
     w.write_all(&buf)?;
     w.flush()?;
@@ -121,7 +120,9 @@ pub fn handshake<S: Read + Write>(stream: &mut S) -> Result<(), WireError> {
     read_preamble(stream)
 }
 
-/// Writes one frame: a varint payload length, then the payload.
+/// Writes one frame: a varint payload length, then the payload, handed to
+/// the stream in one `write_all` so a peer that keeps Nagle's algorithm on
+/// never waits on a delayed ACK between the prefix and the payload.
 ///
 /// # Errors
 ///
@@ -131,10 +132,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(payload.len()));
     }
-    let mut prefix = Vec::with_capacity(5);
-    encode_u64(payload.len() as u64, &mut prefix);
-    w.write_all(&prefix)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(payload.len() + 10);
+    encode_u64(payload.len() as u64, &mut frame);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -192,6 +193,32 @@ mod tests {
             read_preamble(&mut Cursor::new(&future)),
             Err(WireError::VersionMismatch { theirs, .. }) if theirs == PROTOCOL_VERSION + 1
         ));
+    }
+
+    /// Records each `write` call as one chunk.
+    #[derive(Default)]
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl Write for Chunks {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn preamble_and_frames_are_one_write_each() {
+        let mut w = Chunks::default();
+        write_preamble(&mut w).unwrap();
+        write_frame(&mut w, &[7; 300]).unwrap();
+        assert_eq!(w.0.len(), 2, "one write for the preamble, one per frame");
+        let mut r = Cursor::new(w.0.concat());
+        read_preamble(&mut r).unwrap();
+        assert_eq!(read_frame(&mut r).unwrap(), vec![7; 300]);
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! The multi-tenant campaign service: many coordinators, one worker.
 //!
 //! [`WorkerServer::serve_with`] turns the worker agent into a shared
-//! daemon: every accepted connection becomes a *client session* (one
-//! thread each, over the existing framing), admitted by a
-//! [`Message::ClientHello`] / [`Message::ClientAccept`] exchange and
+//! daemon: every accepted connection becomes a *client session*, admitted
+//! by a [`Message::ClientHello`] / [`Message::ClientAccept`] exchange and
 //! bounded by [`ServeOptions::max_clients`] — a full service refuses the
-//! connection with a typed `Error` frame instead of hanging it. Sessions
-//! only move frames; the searches themselves run on a single executor
+//! connection with a typed `Error` frame instead of hanging it. A worker
+//! that joins a running campaign ([`crate::join_coordinator`]) runs its
+//! one connection as a session of the same kind, opened by
+//! `Register`/`Welcome` instead.
+//!
+//! A session thread waits on one channel, fed by its reader thread (each
+//! decoded frame) and the executor (each finished job), so a reply leaves
+//! the moment its task finishes. Sessions only move frames;
+//! the searches themselves run on a single executor
 //! that drains the per-client task queues through a [`FairScheduler`] —
 //! weighted round-robin by client-declared priority — so one huge
 //! campaign cannot starve a small one. Per-client accounting is surfaced
@@ -22,20 +28,24 @@
 //! `docs/OPERATIONS.md` for running the service.
 
 use std::collections::VecDeque;
-use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use sympl_asm::Program;
 use sympl_cluster::{run_task_spec_with_cancel, ClusterConfig};
 use sympl_detect::DetectorSet;
 
-use crate::proto::{Message, TaskFrame};
+use crate::frame::read_frame;
+use crate::proto::{decode_message, Message, TaskFrame};
 use crate::transport::{
-    lock_recovering, Conn, ProgramResolver, WorkerServer, IDLE_POLL, MIN_HEARTBEAT_INTERVAL,
+    lock_recovering, send_message, Conn, ProgramResolver, WorkerServer, IDLE_POLL,
+    MIN_HEARTBEAT_INTERVAL,
 };
 use crate::{program_digest, WireError};
 
@@ -193,18 +203,11 @@ impl FairScheduler {
     }
 }
 
-/// Everything the executor needs to run one queued task.
-struct QueuedWork {
-    program: Program,
-    detectors: DetectorSet,
-    task: TaskFrame,
-}
-
 /// A submitted task's lifecycle. `Queued → Running → Done → Sent` for the
 /// happy path; a cancel can jump `Queued → Done` directly (the executor
 /// skips jobs it pops in a non-`Queued` state).
 enum JobState {
-    Queued(Box<QueuedWork>),
+    Queued(Box<TaskFrame>),
     Running,
     Done(Box<Message>),
     Sent,
@@ -230,6 +233,30 @@ impl SessionJob {
             JobState::Queued(_) | JobState::Running
         )
     }
+
+    /// Takes the finished reply, leaving the job `Sent`; `None` while the
+    /// job is still queued or running.
+    fn take_reply(&self) -> Option<Message> {
+        let mut state = lock_recovering(&self.state);
+        match std::mem::replace(&mut *state, JobState::Sent) {
+            JobState::Done(reply) => Some(*reply),
+            other => {
+                *state = other;
+                None
+            }
+        }
+    }
+}
+
+/// What wakes a session thread. Every source posts into the session's one
+/// channel, so the thread blocks on nothing else.
+#[allow(clippy::large_enum_variant)] // nearly every event is a `Read`
+enum Event {
+    /// The reader thread's next frame, or the error that ended the stream
+    /// ([`WireError::Disconnected`] on a clean hang-up).
+    Read(Result<Message, WireError>),
+    /// A job of this session finished.
+    Wake,
 }
 
 /// One admitted client's scheduling slot. Slots are appended to the
@@ -245,10 +272,14 @@ struct ClientSlot {
     queue: Mutex<VecDeque<Arc<SessionJob>>>,
     completed: AtomicUsize,
     active: AtomicBool,
+    /// The session's event channel; sends fail harmlessly once the
+    /// session is gone.
+    wake: Sender<Event>,
 }
 
-/// The shared state behind [`WorkerServer::serve_with`].
-struct Service<'a> {
+/// The shared state behind [`WorkerServer::serve_with`] and
+/// [`crate::join_coordinator`].
+pub(crate) struct Service<'a> {
     resolve: &'a ProgramResolver<'a>,
     opts: ServeOptions,
     clients: Mutex<Vec<Arc<ClientSlot>>>,
@@ -258,16 +289,18 @@ struct Service<'a> {
     sched_cv: Condvar,
     sessions: AtomicUsize,
     /// A client sent `Shutdown`: stop accepting, exit once the last
-    /// session closes.
+    /// session has ended.
     draining: AtomicBool,
-    /// The accept loop is done; executor and status threads must exit.
-    stopped: AtomicBool,
+    /// No session is left to serve; the executor and status threads exit.
+    /// Paired with `stopped_cv`.
+    stopped: Mutex<bool>,
+    stopped_cv: Condvar,
     refused: AtomicUsize,
     next_client_id: AtomicU64,
 }
 
 impl<'a> Service<'a> {
-    fn new(resolve: &'a ProgramResolver<'a>, opts: ServeOptions) -> Self {
+    pub(crate) fn new(resolve: &'a ProgramResolver<'a>, opts: ServeOptions) -> Self {
         Service {
             resolve,
             opts,
@@ -276,7 +309,8 @@ impl<'a> Service<'a> {
             sched_cv: Condvar::new(),
             sessions: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
+            stopped: Mutex::new(false),
+            stopped_cv: Condvar::new(),
             refused: AtomicUsize::new(0),
             next_client_id: AtomicU64::new(1),
         }
@@ -333,32 +367,53 @@ impl<'a> Service<'a> {
             .is_ok()
     }
 
+    /// Spawns the executor and, when configured, the status thread.
+    fn start<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        scope.spawn(|| self.executor());
+        if let Some(interval) = self.opts.status_interval {
+            scope.spawn(move || self.status_loop(interval));
+        }
+    }
+
+    /// Stops the executor and the status thread. Each re-checks the flag
+    /// under the lock it waits with, so neither can miss the stop.
+    fn stop(&self) {
+        *lock_recovering(&self.stopped) = true;
+        self.stopped_cv.notify_all();
+        drop(lock_recovering(&self.sched));
+        self.sched_cv.notify_all();
+    }
+
     /// The executor thread: drains the per-client queues through the
     /// [`FairScheduler`], one task at a time, until stopped.
     fn executor(&self) {
         loop {
-            match self.claim_next() {
-                Some((slot, job, work)) => self.run_job(&slot, &job, *work),
-                None => {
-                    if self.stopped.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let guard = lock_recovering(&self.sched);
-                    // Bounded wait so a missed notify can only delay, not
-                    // deadlock, the executor.
-                    drop(
-                        self.sched_cv
-                            .wait_timeout(guard, Duration::from_millis(50))
-                            .unwrap_or_else(std::sync::PoisonError::into_inner),
-                    );
-                }
+            if let Some((slot, job, task)) = self.claim_next() {
+                self.run_job(&slot, &job, &task);
+                continue;
+            }
+            // `enqueue` and `stop` take the scheduler lock before they
+            // notify, so checking under it cannot miss a wake-up.
+            let sched = lock_recovering(&self.sched);
+            if *lock_recovering(&self.stopped) {
+                return;
+            }
+            let backlogged = lock_recovering(&self.clients)
+                .iter()
+                .any(|slot| !lock_recovering(&slot.queue).is_empty());
+            if !backlogged {
+                drop(
+                    self.sched_cv
+                        .wait(sched)
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
             }
         }
     }
 
     /// Picks and claims the next runnable job, skipping jobs a cancel
     /// completed while they sat in queue.
-    fn claim_next(&self) -> Option<(Arc<ClientSlot>, Arc<SessionJob>, Box<QueuedWork>)> {
+    fn claim_next(&self) -> Option<(Arc<ClientSlot>, Arc<SessionJob>, Box<TaskFrame>)> {
         loop {
             let slots: Vec<Arc<ClientSlot>> = lock_recovering(&self.clients).clone();
             let picked = {
@@ -376,24 +431,21 @@ impl<'a> Service<'a> {
             };
             let mut state = lock_recovering(&job.state);
             match std::mem::replace(&mut *state, JobState::Running) {
-                JobState::Queued(work) => {
+                JobState::Queued(task) => {
                     drop(state);
-                    return Some((Arc::clone(&slots[picked]), Arc::clone(&job), work));
+                    return Some((Arc::clone(&slots[picked]), Arc::clone(&job), task));
                 }
                 other => *state = other,
             }
         }
     }
 
-    /// Runs one claimed task through the same engine path a
-    /// single-tenant worker uses, parking the reply for the session
-    /// thread to flush in order.
-    fn run_job(&self, slot: &ClientSlot, job: &SessionJob, work: QueuedWork) {
-        let QueuedWork {
-            program,
-            detectors,
-            task,
-        } = work;
+    /// Resolves one claimed task's program and runs the task through
+    /// [`run_task_spec_with_cancel`], the engine path the in-process pool
+    /// uses, then parks the reply and wakes the session thread to send it.
+    /// Resolving here, not on the session thread, keeps every sizeable
+    /// allocation on this one thread.
+    fn run_job(&self, slot: &ClientSlot, job: &SessionJob, task: &TaskFrame) {
         let config = ClusterConfig {
             workers: 1,
             tasks: 1,
@@ -403,7 +455,8 @@ impl<'a> Service<'a> {
             point_workers_hint: Some(task.point_workers.max(1)),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_task_spec_with_cancel(
+            let (program, detectors) = self.resolve_task(task)?;
+            Ok(run_task_spec_with_cancel(
                 &program,
                 &detectors,
                 &task.input,
@@ -412,13 +465,14 @@ impl<'a> Service<'a> {
                 &config,
                 &job.cancel,
                 None,
-            )
+            ))
         }));
         let reply = match outcome {
             Err(_) => Message::Error(
                 "task panicked on the worker; the campaign can re-queue it elsewhere".into(),
             ),
-            Ok((result, findings)) => {
+            Ok(Err(refusal)) => Message::Error(refusal),
+            Ok(Ok((result, findings))) => {
                 if job.cancelled_by_client.load(Ordering::SeqCst) && !result.completed {
                     Message::Error("task cancelled by the coordinator".into())
                 } else {
@@ -430,76 +484,135 @@ impl<'a> Service<'a> {
             slot.completed.fetch_add(1, Ordering::SeqCst);
         }
         *lock_recovering(&job.state) = JobState::Done(Box::new(reply));
+        let _ = slot.wake.send(Event::Wake);
     }
 
     /// The status thread: prints [`Self::status_line`] every `interval`
     /// until the service stops.
     fn status_loop(&self, interval: Duration) {
         let interval = interval.max(Duration::from_millis(50));
-        let mut last = Instant::now();
-        while !self.stopped.load(Ordering::SeqCst) {
-            std::thread::sleep(IDLE_POLL.min(interval));
-            if last.elapsed() >= interval {
-                eprintln!("{}", self.status_line());
-                last = Instant::now();
+        loop {
+            let stopped = lock_recovering(&self.stopped);
+            let (stopped, _) = self
+                .stopped_cv
+                .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+                .unwrap_or_else(PoisonError::into_inner);
+            if *stopped {
+                return;
             }
+            drop(stopped);
+            eprintln!("{}", self.status_line());
         }
     }
 
     /// One accepted connection, end to end. The session reservation is
     /// already held (see [`Self::try_admit`]) and is released here.
-    fn session(&self, stream: TcpStream, peer: SocketAddr) -> Result<(), WireError> {
-        let result = self.admitted_session(stream, peer);
+    fn session(&self, stream: TcpStream) -> Result<(), WireError> {
+        let result = self.connection(stream, None);
         self.sessions.fetch_sub(1, Ordering::SeqCst);
         result
     }
 
-    fn admitted_session(&self, stream: TcpStream, peer: SocketAddr) -> Result<(), WireError> {
-        let mut conn = Conn::establish(stream)?;
-        // The hello exchange: the first frame must be a ClientHello. A
-        // bare Shutdown is honoured as a drain request — the one-frame
-        // conversation fleet teardown scripts use.
-        conn.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let (label, priority) = match conn.recv()? {
-            Message::ClientHello { client, priority } => (client, priority.max(1)),
-            Message::Shutdown => {
-                self.draining.store(true, Ordering::SeqCst);
-                return Ok(());
-            }
-            _ => {
-                let _ = conn.send(&Message::Error(
-                    "expected a ClientHello as the first frame".into(),
-                ));
-                return Err(WireError::UnexpectedMessage("client hello"));
+    /// Serves one outbound join connection as this service's only
+    /// session, then stops the service.
+    pub(crate) fn join(&self, stream: TcpStream, worker: &str) -> Result<(), WireError> {
+        std::thread::scope(|scope| {
+            self.start(scope);
+            let result = self.connection(stream, Some(worker));
+            self.stop();
+            result
+        })
+    }
+
+    /// Runs one connection: a reader thread decodes frames into the
+    /// session's channel while this thread admits the client and serves
+    /// it. `join` is the worker label of an outbound join connection,
+    /// which opens with `Register`/`Welcome` in place of the
+    /// `ClientHello` exchange.
+    fn connection(&self, stream: TcpStream, join: Option<&str>) -> Result<(), WireError> {
+        let Conn { reader, mut writer } = Conn::establish(stream)?;
+        let (wake, events) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let frames = wake.clone();
+            scope.spawn(move || read_frames(reader, &frames));
+            let result = self.converse(&mut writer, &events, wake, join);
+            // Unblocks the reader thread.
+            let _ = writer.shutdown(Shutdown::Both);
+            result
+        })
+    }
+
+    fn converse(
+        &self,
+        writer: &mut TcpStream,
+        events: &Receiver<Event>,
+        wake: Sender<Event>,
+        join: Option<&str>,
+    ) -> Result<(), WireError> {
+        let (label, priority) = match join {
+            None => match opening_frame(events, Duration::from_secs(10))? {
+                Message::ClientHello { client, priority } => (client, priority.max(1)),
+                // A bare Shutdown is a drain request — the one-frame
+                // conversation fleet teardown scripts use.
+                Message::Shutdown => {
+                    self.draining.store(true, Ordering::SeqCst);
+                    return Ok(());
+                }
+                _ => {
+                    let _ = send_message(
+                        writer,
+                        &Message::Error("expected a ClientHello as the first frame".into()),
+                    );
+                    return Err(WireError::UnexpectedMessage("client hello"));
+                }
+            },
+            Some(worker) => {
+                send_message(
+                    writer,
+                    &Message::Register {
+                        worker: worker.to_owned(),
+                    },
+                )?;
+                match opening_frame(events, Duration::from_secs(30))? {
+                    // The dialled coordinator is the session's client,
+                    // labelled by the campaign's program.
+                    Message::Welcome { program_id, .. } => (program_id, 1),
+                    _ => return Err(WireError::UnexpectedMessage("welcome")),
+                }
             }
         };
-        let slot = {
-            let slot = Arc::new(ClientSlot {
-                id: self.next_client_id.fetch_add(1, Ordering::SeqCst),
-                label,
-                priority,
-                queue: Mutex::new(VecDeque::new()),
-                completed: AtomicUsize::new(0),
-                active: AtomicBool::new(true),
-            });
-            lock_recovering(&self.clients).push(Arc::clone(&slot));
-            slot
-        };
-        conn.send(&Message::ClientAccept { client_id: slot.id })?;
+        let slot = Arc::new(ClientSlot {
+            id: self.next_client_id.fetch_add(1, Ordering::SeqCst),
+            label,
+            priority,
+            queue: Mutex::new(VecDeque::new()),
+            completed: AtomicUsize::new(0),
+            active: AtomicBool::new(true),
+            wake,
+        });
+        lock_recovering(&self.clients).push(Arc::clone(&slot));
+        if join.is_none() {
+            send_message(writer, &Message::ClientAccept { client_id: slot.id })?;
+        }
+        let peer = writer
+            .peer_addr()
+            .map_or_else(|_| "an unknown peer".to_owned(), |addr| addr.to_string());
         eprintln!(
             "sympl-wire service: client #{} `{}` (priority {}) connected from {peer}",
             slot.id, slot.label, slot.priority
         );
-        let served = self.serve_session(&mut conn, &slot);
+        let mut pending = VecDeque::new();
+        let served = self.serve_session(writer, events, &slot, &mut pending);
         // Teardown: whatever the client left behind is cancelled and
         // unqueued so the executor never burns time for a gone session.
-        for job in lock_recovering(&slot.queue).drain(..) {
+        for job in pending {
             job.cancel.store(true, Ordering::SeqCst);
             let mut state = lock_recovering(&job.state);
             if matches!(*state, JobState::Queued(_)) {
                 *state = JobState::Sent;
             }
         }
+        lock_recovering(&slot.queue).clear();
         slot.active.store(false, Ordering::SeqCst);
         eprintln!(
             "sympl-wire service: client #{} `{}` disconnected ({} task(s) completed)",
@@ -510,65 +623,57 @@ impl<'a> Service<'a> {
         served
     }
 
-    /// The admitted session's frame loop: accept tasks (pipelining is
-    /// allowed), flush replies in submission order, heartbeat while work
-    /// is in flight, honour `Cancel`, end on `Shutdown` or hang-up.
-    fn serve_session(&self, conn: &mut Conn, slot: &ClientSlot) -> Result<(), WireError> {
-        let mut pending: VecDeque<Arc<SessionJob>> = VecDeque::new();
+    /// The admitted session's loop: accept tasks (pipelining is allowed),
+    /// send each reply as soon as it and every reply before it are done,
+    /// heartbeat while work is pending, honour `Cancel`, and end on
+    /// `Shutdown` or a hang-up. A drain leaves the session open: a
+    /// connected campaign keeps submitting until it hangs up.
+    fn serve_session(
+        &self,
+        writer: &mut TcpStream,
+        events: &Receiver<Event>,
+        slot: &ClientSlot,
+        pending: &mut VecDeque<Arc<SessionJob>>,
+    ) -> Result<(), WireError> {
         let mut last_beat = Instant::now();
         loop {
-            // Flush: replies go out strictly in submission order, so a
-            // coordinator driving one task at a time sees exactly the
-            // single-tenant conversation.
-            while let Some(front) = pending.front() {
-                let reply = {
-                    let mut state = lock_recovering(&front.state);
-                    match std::mem::replace(&mut *state, JobState::Sent) {
-                        JobState::Done(reply) => Some(*reply),
-                        other => {
-                            *state = other;
-                            None
-                        }
-                    }
-                };
-                let Some(reply) = reply else { break };
-                conn.send(&reply)?;
+            // Replies go out strictly in submission order, so a
+            // coordinator driving one task at a time sees a plain
+            // request/response conversation.
+            while let Some(reply) = pending.front().and_then(|job| job.take_reply()) {
+                send_message(writer, &reply)?;
                 pending.pop_front();
                 last_beat = Instant::now();
             }
-            let (wait, in_flight) = if pending.is_empty() {
-                (Duration::from_millis(100), false)
-            } else {
-                // Work in flight: keep the client's liveness deadline
-                // armed at the tightest cadence it asked for, whether its
-                // task is running or waiting its scheduling turn.
-                let interval = pending
-                    .iter()
-                    .map(|j| j.interval)
-                    .min()
-                    .unwrap_or(MIN_HEARTBEAT_INTERVAL)
-                    .max(MIN_HEARTBEAT_INTERVAL);
-                if last_beat.elapsed() >= interval {
-                    conn.send(&Message::Heartbeat)?;
-                    last_beat = Instant::now();
-                }
-                (interval / 4, true)
-            };
-            let message = match conn.poll_recv(wait, Duration::from_secs(5)) {
-                Ok(Some(message)) => message,
-                Ok(None) => {
-                    if !in_flight && self.stopped.load(Ordering::SeqCst) {
-                        return Ok(());
+            // The heartbeat deadline is armed only while work is pending,
+            // at the tightest cadence the client asked for, whether its
+            // task is running or waiting its scheduling turn.
+            let event = match pending.iter().map(|job| job.interval).min() {
+                None => events.recv().map_err(|_| WireError::Disconnected)?,
+                Some(interval) => {
+                    let beat_in = (last_beat + interval).saturating_duration_since(Instant::now());
+                    match events.recv_timeout(beat_in) {
+                        Ok(event) => event,
+                        Err(RecvTimeoutError::Timeout) => {
+                            send_message(writer, &Message::Heartbeat)?;
+                            last_beat = Instant::now();
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Disconnected) => return Err(WireError::Disconnected),
                     }
-                    continue;
                 }
-                Err(WireError::Disconnected) => return Ok(()),
-                Err(e) => return Err(e),
+            };
+            let message = match event {
+                Event::Wake => continue,
+                Event::Read(Err(WireError::Disconnected)) => return Ok(()),
+                Event::Read(read) => read?,
             };
             match message {
                 Message::Task(task) => {
-                    let job = self.enqueue(slot, task);
-                    pending.push_back(job);
+                    if pending.is_empty() {
+                        last_beat = Instant::now();
+                    }
+                    pending.push_back(self.enqueue(slot, task));
                 }
                 Message::Cancel => {
                     // Cancel the oldest incomplete job: queued jobs are
@@ -602,53 +707,64 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// Resolves and queues one task for the executor. Resolution and
-    /// digest failures produce a pre-completed job (the typed `Error`
-    /// reply) that never reaches the scheduler, preserving reply order.
-    fn enqueue(&self, slot: &ClientSlot, task: TaskFrame) -> Arc<SessionJob> {
-        let interval = task.heartbeat_interval.max(MIN_HEARTBEAT_INTERVAL);
-        let state = match (self.resolve)(&task.program_id) {
-            None => JobState::Done(Box::new(Message::Error(format!(
-                "unknown program id `{}`",
-                task.program_id
-            )))),
-            Some((program, detectors)) => {
-                // Decode once per task frame, exactly like the
-                // single-tenant path.
-                let _ = program.decoded();
-                if program_digest(&program) == task.program_digest {
-                    JobState::Queued(Box::new(QueuedWork {
-                        program,
-                        detectors,
-                        task,
-                    }))
-                } else {
-                    JobState::Done(Box::new(Message::Error(format!(
-                        "program digest mismatch for `{}`: this worker has a different revision",
-                        task.program_id
-                    ))))
-                }
-            }
+    /// Resolves a task's program id and checks the program digest; a
+    /// refusal is the reason for the typed `Error` reply.
+    fn resolve_task(&self, task: &TaskFrame) -> Result<(Program, DetectorSet), String> {
+        let Some((program, detectors)) = (self.resolve)(&task.program_id) else {
+            return Err(format!("unknown program id `{}`", task.program_id));
         };
-        let runnable = matches!(state, JobState::Queued(_));
+        // Decode once per task frame: the whole task runs against this one
+        // cached IR.
+        let _ = program.decoded();
+        if program_digest(&program) != task.program_digest {
+            return Err(format!(
+                "program digest mismatch for `{}`: this worker has a different revision",
+                task.program_id
+            ));
+        }
+        Ok((program, detectors))
+    }
+
+    /// Queues one task for the executor.
+    fn enqueue(&self, slot: &ClientSlot, task: TaskFrame) -> Arc<SessionJob> {
         let job = Arc::new(SessionJob {
-            interval,
+            interval: task.heartbeat_interval.max(MIN_HEARTBEAT_INTERVAL),
             cancel: AtomicBool::new(false),
             cancelled_by_client: AtomicBool::new(false),
-            state: Mutex::new(state),
+            state: Mutex::new(JobState::Queued(Box::new(task))),
         });
-        if runnable {
-            lock_recovering(&slot.queue).push_back(Arc::clone(&job));
-            drop(lock_recovering(&self.sched));
-            self.sched_cv.notify_all();
-        }
+        lock_recovering(&slot.queue).push_back(Arc::clone(&job));
+        drop(lock_recovering(&self.sched));
+        self.sched_cv.notify_all();
         job
+    }
+}
+
+/// A session's reader thread: blocks on the socket and posts each decoded
+/// frame, then the error that ended the stream, into the session channel.
+fn read_frames(mut reader: BufReader<TcpStream>, events: &Sender<Event>) {
+    loop {
+        let read = read_frame(&mut reader).and_then(|payload| Ok(decode_message(&payload)?));
+        let ended = read.is_err();
+        if events.send(Event::Read(read)).is_err() || ended {
+            return;
+        }
+    }
+}
+
+/// Waits up to `within` for a connection's opening frame.
+fn opening_frame(events: &Receiver<Event>, within: Duration) -> Result<Message, WireError> {
+    match events.recv_timeout(within) {
+        Ok(Event::Read(read)) => read,
+        Err(RecvTimeoutError::Timeout) => Err(io::Error::from(io::ErrorKind::TimedOut).into()),
+        // Until the session is admitted only its reader thread posts.
+        Ok(Event::Wake) | Err(RecvTimeoutError::Disconnected) => Err(WireError::Disconnected),
     }
 }
 
 impl WorkerServer {
     /// Serves many concurrent coordinators — the multi-tenant campaign
-    /// service. Each accepted connection runs as its own session thread;
+    /// service. Each accepted connection runs as its own session;
     /// tasks from all sessions drain through one [`FairScheduler`]-driven
     /// executor. Returns the final [`ServiceStats`] once a client sends
     /// `Shutdown` and the last session closes.
@@ -666,10 +782,7 @@ impl WorkerServer {
         self.listener.set_nonblocking(true).map_err(WireError::Io)?;
         let result = std::thread::scope(|scope| {
             let service = &service;
-            scope.spawn(move || service.executor());
-            if let Some(interval) = service.opts.status_interval {
-                scope.spawn(move || service.status_loop(interval));
-            }
+            service.start(scope);
             let accepted = loop {
                 match self.listener.accept() {
                     Ok((stream, peer)) => {
@@ -681,7 +794,7 @@ impl WorkerServer {
                         }
                         if service.try_admit() {
                             scope.spawn(move || {
-                                if let Err(e) = service.session(stream, peer) {
+                                if let Err(e) = service.session(stream) {
                                     eprintln!(
                                         "sympl-wire service: connection from {peer} failed: {e}"
                                     );
@@ -717,7 +830,7 @@ impl WorkerServer {
                     Err(e) => break Err(WireError::Io(e)),
                 }
             };
-            service.stopped.store(true, Ordering::SeqCst);
+            service.stop();
             accepted
         });
         let _ = self.listener.set_nonblocking(false);
@@ -728,44 +841,14 @@ impl WorkerServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::{factorial, resolver, slow_program};
     use crate::transport::{
         run_distributed, run_distributed_with, CampaignJob, DistOptions, LISTENING_PREFIX,
     };
-    use sympl_asm::parse_program;
     use sympl_check::{Predicate, SearchLimits};
     use sympl_cluster::run_cluster;
     use sympl_inject::{Campaign, ErrorClass};
     use sympl_machine::ExecLimits;
-
-    fn factorial() -> Program {
-        parse_program(
-            "ori $2 $0 #1\nread $1\nmov $3, $1\nori $4 $0 #1\n\
-             loop: setgt $5 $3 $4\nbeq $5 0 exit\nmult $2 $2 $3\nsubi $3 $3 #1\nbeq $0 #0 loop\n\
-             exit: prints \"Factorial = \"\nprint $2\nhalt",
-        )
-        .unwrap()
-    }
-
-    /// A program whose per-point searches take tens of milliseconds under
-    /// a generous step budget, so scheduling order — not thread-wakeup
-    /// noise — decides which client's replies land first.
-    fn slow_program() -> Program {
-        parse_program(
-            "read $1\nmov $4 $1\nouter: ori $2 $0 #0\n\
-             inner: addi $2 $2 #1\nsetgt $3 $2 $1\nbeq $3 0 inner\n\
-             subi $4 $4 #1\nsetgt $5 $4 #0\nbeq $5 1 outer\n\
-             prints \"done\"\nhalt",
-        )
-        .unwrap()
-    }
-
-    fn resolver(id: &str) -> Option<(Program, DetectorSet)> {
-        match id {
-            "factorial" => Some((factorial(), DetectorSet::new())),
-            "slowprog" => Some((slow_program(), DetectorSet::new())),
-            _ => None,
-        }
-    }
 
     fn deterministic_config(tasks: usize) -> ClusterConfig {
         ClusterConfig {
@@ -1017,20 +1100,28 @@ mod tests {
     fn small_campaign_completes_while_a_large_one_is_in_flight() {
         // Starvation regression: a 16-task campaign and a 2-task campaign
         // share one single-executor service; round-robin means the small
-        // one must finish long before the big one's tail.
-        let program = factorial();
-        let input = vec![6];
+        // one must finish long before the big one's tail. The slow
+        // program keeps the big campaign in flight for far longer than
+        // a reply takes, so the finish order reflects the schedule
+        // rather than which coordinator thread started first.
+        let program = slow_program();
+        let input = vec![5];
         let campaign = Campaign::new(&program, ErrorClass::RegisterFile);
-        let predicate = Predicate::WrongOutput {
-            expected: vec![720],
+        let predicate = Predicate::OutputContainsErr;
+        let mut big_config = deterministic_config(16);
+        big_config.search.exec = ExecLimits::with_max_steps(600);
+        let small_config = ClusterConfig {
+            tasks: 2,
+            ..big_config.clone()
         };
-        let big_config = deterministic_config(16);
-        let small_config = deterministic_config(2);
 
         let (addr, handle) = start_service(ServeOptions::default());
         let (big_done, small_done) = std::thread::scope(|scope| {
             let big = scope.spawn(|| {
-                let job = campaign_job(&program, &input, &campaign, &predicate, &big_config);
+                let job = CampaignJob {
+                    program_id: "slowprog",
+                    ..campaign_job(&program, &input, &campaign, &predicate, &big_config)
+                };
                 let report = run_distributed_with(
                     &job,
                     std::slice::from_ref(&addr),
@@ -1043,7 +1134,10 @@ mod tests {
                 (Instant::now(), report.outcome_digest())
             });
             let small = scope.spawn(|| {
-                let job = campaign_job(&program, &input, &campaign, &predicate, &small_config);
+                let job = CampaignJob {
+                    program_id: "slowprog",
+                    ..campaign_job(&program, &input, &campaign, &predicate, &small_config)
+                };
                 let report = run_distributed_with(
                     &job,
                     std::slice::from_ref(&addr),

@@ -86,6 +86,19 @@ memo-demo:
 service-demo workers="2":
     cargo run --release -p sympl-bench --bin service_demo -- --workers {{workers}}
 
+# Benchmark gate: the perfbench unit tests, then a short traced
+# fleet_shared run (seed 1, 5 s). Its result line must read
+# `"correct": true` with 0 failed tasks: every campaign matched its
+# in-process oracle, and the raw wire probe's TaskDone frames equal the
+# in-process results. The CI perfbench job runs exactly this recipe.
+perfbench:
+    cargo test --offline --manifest-path perfbench/Cargo.toml
+    mkdir -p target
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload fleet_shared --seed 1 --seconds 5 --trace 1 > target/perfbench-fleet.txt || (cat target/perfbench-fleet.txt; exit 1)
+    cat target/perfbench-fleet.txt
+    tail -n 1 target/perfbench-fleet.txt | grep -q '"correct": true'
+    tail -n 1 target/perfbench-fleet.txt | grep -q '"failed": 0,'
+
 # Regenerate the paper's tables and figures from the assembled workloads.
 repro-tables:
     cargo run --release -p sympl-bench --bin table1
